@@ -370,7 +370,8 @@ pub struct PoolMetrics {
     pub outstanding: u64,
     /// High-water mark of simultaneously outstanding stacks.
     pub peak_outstanding: u64,
-    /// Releases whose pages were dropped with `MADV_DONTNEED`.
+    /// Stacks whose pages were dropped with `MADV_DONTNEED` (dense slots
+    /// are counted when their batch is flushed).
     pub recycled: u64,
     /// Stacks currently cached for reuse.
     pub cached: u64,
@@ -615,7 +616,7 @@ pub fn prometheus_text(
     counter_block(
         &mut out,
         "ulp_stack_recycled_total",
-        "Stack releases whose pages were dropped with MADV_DONTNEED.",
+        "Stacks whose pages were dropped with MADV_DONTNEED, counted at flush for batched dense slots.",
         pool.recycled,
     );
     gauge_block(

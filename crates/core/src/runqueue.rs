@@ -14,7 +14,8 @@
 //!   in a thread-local slot — no lock, no eventcount bump, no futex. The
 //!   owning scheduler is by definition awake, so skipping the wake protocol
 //!   is sound; a fairness bound (`SLOT_FAIRNESS_LIMIT`) spills to the real
-//!   deque so queued UCs cannot starve behind a ping-pong pair.
+//!   deque so queued UCs cannot starve behind a ping-pong pair, and gives
+//!   the injector a turn so local work cannot starve it either.
 //! - **Local deque**: one uncontended lock, then the eventcount publish.
 //! - **Injector** (foreign threads, `GlobalFifo`): same, on the shared queue.
 //!
@@ -66,7 +67,9 @@ pub enum SchedPolicy {
 
 /// Consecutive slot pops a scheduler may serve before a subsequent push is
 /// forced into the real deque, bounding how long a slot ping-pong pair can
-/// shadow queued UCs.
+/// shadow queued UCs. The same bound gives the injector a turn after that
+/// many pops, so UCs yield-polling on a scheduler cannot keep its slot and
+/// deque busy and shadow the injector forever either.
 const SLOT_FAIRNESS_LIMIT: u32 = 64;
 
 /// One injector shard, padded to its own cache line so round-robin pushers
@@ -101,6 +104,8 @@ struct LocalReg {
     slot: RefCell<Option<Arc<UcInner>>>,
     /// Consecutive pops served from the slot (fairness bookkeeping).
     slot_streak: Cell<u32>,
+    /// Pops since the injector was last served first.
+    pops_since_injector: Cell<u32>,
 }
 
 thread_local! {
@@ -192,6 +197,7 @@ impl RunQueue {
                 deque,
                 slot: RefCell::new(None),
                 slot_streak: Cell::new(0),
+                pops_since_injector: Cell::new(0),
             });
         });
     }
@@ -340,7 +346,8 @@ impl RunQueue {
 
     /// Pop the next runnable UC, if any: the thread's next-UC slot first,
     /// then its local deque, then the global injector, then steal from
-    /// sibling schedulers.
+    /// sibling schedulers. After every `SLOT_FAIRNESS_LIMIT` pops, the
+    /// injector is served first.
     pub fn pop(&self) -> Option<Arc<UcInner>> {
         // Torture hook: a biased pop drains from the "wrong" end of each
         // queue and skips the slot fast path, so dispatch order degenerates
@@ -350,6 +357,15 @@ impl RunQueue {
             let local = LOCAL.with(|l| {
                 let b = l.borrow();
                 let reg = b.as_ref().filter(|reg| reg.tag == self.tag())?;
+                let streak = reg.pops_since_injector.get();
+                if streak >= SLOT_FAIRNESS_LIMIT {
+                    reg.pops_since_injector.set(0);
+                    if let Some(uc) = self.injector_pop(biased) {
+                        return Some(uc);
+                    }
+                } else {
+                    reg.pops_since_injector.set(streak + 1);
+                }
                 if !biased {
                     if let Some(uc) = reg.slot.borrow_mut().take() {
                         reg.slot_streak.set(reg.slot_streak.get().saturating_add(1));
@@ -725,6 +741,40 @@ mod ws_tests {
             popped.contains(&1000),
             "straggler never surfaced through the slot ping-pong: {popped:?}"
         );
+        while q.pop().is_some() {}
+        q.unregister_local();
+    }
+
+    #[test]
+    fn ws_injector_gets_a_turn_despite_local_ping_pong() {
+        let q = Arc::new(RunQueue::with_policy(
+            IdlePolicy::BusyWait,
+            SchedPolicy::WorkStealing,
+        ));
+        q.register_local();
+        // Two local UCs ping-pong through the slot and the deque, so local
+        // work never runs out; a foreign push waits in the injector.
+        q.push(uc(1));
+        q.push(uc(2));
+        let q2 = q.clone();
+        std::thread::spawn(move || q2.push(uc(1000)))
+            .join()
+            .unwrap();
+        let mut popped = Vec::new();
+        for _ in 0..(2 * SLOT_FAIRNESS_LIMIT) {
+            let u = q.pop().unwrap();
+            popped.push(u.id.0);
+            if u.id.0 == 1000 {
+                break;
+            }
+            q.push(u);
+        }
+        assert_eq!(
+            popped.last(),
+            Some(&1000),
+            "the injector never had a turn: {popped:?}"
+        );
+        assert!(popped.len() <= SLOT_FAIRNESS_LIMIT as usize + 1);
         while q.pop().is_some() {}
         q.unregister_local();
     }

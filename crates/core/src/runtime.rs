@@ -107,8 +107,9 @@ pub struct Config {
     pub pool_kcs: usize,
     /// Usable stack size for pooled ULPs. Smaller than the sibling default:
     /// pooled stacks come from dense slab slots (no per-stack guard VMA) so
-    /// a million of them fit under `vm.max_map_count`, and are
-    /// `MADV_DONTNEED`ed on recycle so RSS tracks live ULPs.
+    /// a million of them fit under `vm.max_map_count`. Released slots are
+    /// `MADV_DONTNEED`ed in batches of 32, so RSS tracks live ULPs plus at
+    /// most 31 queued slots.
     pub pooled_stack_size: usize,
     /// Per-KC trace-ring capacity in records (clamped to `[16, 2^20]`,
     /// rounded up to a power of two). The default suits microbenches;

@@ -506,6 +506,46 @@ fn work_stealing_policy_runs_everything() {
 }
 
 #[test]
+fn work_stealing_does_not_starve_the_injector() {
+    // Regression: each scheduler served its slot and local deque before
+    // the injector, so two yield-polling UCs per scheduler kept a fifth,
+    // still in the injector, from ever running. Every BLT here waits for
+    // all of them to arrive, so one starved BLT hangs the rest; the
+    // watchdog turns that hang into a failure.
+    const N: usize = 6;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let rt = Runtime::builder()
+            .schedulers(2)
+            .idle_policy(IdlePolicy::Blocking)
+            .sched_policy(ulp_core::SchedPolicy::WorkStealing)
+            .build();
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..N)
+            .map(|i| {
+                let arrived = arrived.clone();
+                rt.spawn(&format!("poller{i}"), move || {
+                    decouple().unwrap();
+                    arrived.fetch_add(1, Ordering::AcqRel);
+                    while arrived.load(Ordering::Acquire) < N {
+                        yield_now();
+                    }
+                    0
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.wait(), 0);
+        }
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a decoupled BLT starved behind yield-polling peers");
+    worker.join().unwrap();
+}
+
+#[test]
 fn signal_caveat_fcontext_mode() {
     // §VII: with fcontext-style switching (default), the signal mask a ULP
     // sets while coupled stays with *its own* kernel context; while the UC

@@ -22,17 +22,40 @@
 //!
 //! ## RSS tracks *live* stacks
 //!
-//! [`StackPool::release`] calls `madvise(MADV_DONTNEED)` on the usable
-//! region before caching it. For anonymous private memory the kernel drops
-//! the backing pages immediately and refaults zero pages on next touch, so
-//! resident memory follows the number of *live* ULPs instead of the
-//! high-water mark of ever-spawned ones. The freed slot stays mapped (no
-//! VMA churn) and is handed out again LIFO.
+//! A released stack's pages are dropped with `MADV_DONTNEED`: for anonymous
+//! private memory the kernel frees the backing pages and refaults zero pages
+//! on next touch, so resident memory follows the number of *live* ULPs
+//! instead of the high-water mark of ever-spawned ones. The freed stack
+//! stays mapped (no VMA churn) and is handed out again LIFO.
+//!
+//! Owned stacks drop their pages as they are released. Dense slots are
+//! reclaimed in batches: every ULP shares one address space, so each
+//! `madvise` makes the kernel flush the range from the TLB of every CPU
+//! running one of the process's threads, and one call per pooled-ULP exit
+//! cost about 10 µs of CPU per exit on a 2-vCPU host. [`StackPool::release`]
+//! instead queues the slot in one pool-wide batch. When `RECLAIM_BATCH`
+//! (32) slots are queued, the releasing thread drops all their pages with a
+//! single `process_madvise(2)` against a pidfd for this process, and only
+//! then returns the slots to their slabs' free lists. Resident stack memory
+//! is thus bounded by the live stacks plus `RECLAIM_BATCH - 1` queued slots.
+//!
+//! Kernels before 6.13 reject `process_madvise(MADV_DONTNEED)` with
+//! `EINVAL`, and a seccomp filter may fail it or `pidfd_open` with `EPERM`
+//! or `ENOSYS`. On the first failure the pool falls back for good to one
+//! `madvise` per maximal run of adjacent queued slots, never more calls
+//! than one per slot. A short `process_madvise` return sends the ranges it
+//! did not reach through the same fallback.
+//!
+//! A queued slot is never handed out: when [`StackPool::acquire_dense`]
+//! finds no free slot it flushes the batch before carving a new one, so
+//! carved slots never exceed [`StackPool::peak_outstanding`].
 
 use parking_lot::Mutex;
 use std::io;
+use std::mem::ManuallyDrop;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default usable stack size for a user context (512 KiB, matching the
@@ -48,6 +71,10 @@ pub const TRAMPOLINE_STACK_SIZE: usize = 16 * 1024;
 /// from this and the stride). 32 MiB ≈ 512 slots of 64 KiB: a 1M-ULP run
 /// needs ~2k slabs → ~4k VMAs, comfortably under `vm.max_map_count`.
 pub const SLAB_TARGET_BYTES: usize = 32 * 1024 * 1024;
+
+/// Released dense slots queued before one flush drops all their pages; it
+/// also bounds how many released slots may still hold resident pages.
+const RECLAIM_BATCH: usize = 32;
 
 fn page_size() -> usize {
     static PAGE: AtomicUsize = AtomicUsize::new(0);
@@ -127,30 +154,34 @@ impl SlabInner {
         unsafe { self.base.add(page_size() + slot as usize * self.stride) }
     }
 
-    /// Pop a recycled slot or carve a fresh one; `None` when full.
-    fn take_slot(self: &Arc<Self>) -> Option<Stack> {
-        let slot = match self.free.lock().pop() {
-            Some(s) => s,
-            None => {
-                let mut carved = self.carved.lock();
-                if *carved >= self.slots {
-                    return None;
-                }
-                let s = *carved;
-                *carved += 1;
-                s
-            }
-        };
-        let base = self.slot_base(slot);
-        Some(Stack {
-            base,
+    /// The stack handle for `slot`.
+    fn stack(self: &Arc<Self>, slot: u32) -> Stack {
+        Stack {
+            base: self.slot_base(slot),
             total: self.stride,
             usable: self.stride,
             backing: Backing::Slab {
                 slab: self.clone(),
                 slot,
             },
-        })
+        }
+    }
+
+    /// Pop the most recently freed slot.
+    fn pop_free(self: &Arc<Self>) -> Option<Stack> {
+        let slot = self.free.lock().pop()?;
+        Some(self.stack(slot))
+    }
+
+    /// Carve a never-used slot; `None` when the slab is fully carved.
+    fn carve(self: &Arc<Self>) -> Option<Stack> {
+        let mut carved = self.carved.lock();
+        if *carved >= self.slots {
+            return None;
+        }
+        let slot = *carved;
+        *carved += 1;
+        Some(self.stack(slot))
     }
 
     /// Every carved slot is back on the free list (nothing outstanding).
@@ -262,6 +293,21 @@ impl Stack {
         matches!(self.backing, Backing::Slab { .. })
     }
 
+    /// The slab slot behind a dense stack, taken without running its drop
+    /// (which would free the slot with its pages still resident); an owned
+    /// stack comes back unchanged.
+    fn into_slab_slot(self) -> Result<Queued, Stack> {
+        if !self.is_slab_slot() {
+            return Err(self);
+        }
+        let this = ManuallyDrop::new(self);
+        // SAFETY: `this` is never dropped, so `backing` is moved out once.
+        match unsafe { ptr::read(&this.backing) } {
+            Backing::Slab { slab, slot } => Ok((slab, slot)),
+            Backing::Owned => unreachable!("checked above"),
+        }
+    }
+
     /// Drop the usable region's backing pages (`madvise(MADV_DONTNEED)`):
     /// resident memory is released immediately and the region reads as
     /// zeroes on next touch. The mapping itself is untouched.
@@ -290,20 +336,180 @@ impl Drop for Stack {
     }
 }
 
+/// A released dense slot awaiting reclaim: its slab and slot index.
+type Queued = (Arc<SlabInner>, u32);
+
+/// The `MADV_DONTNEED` range of each maximal run of adjacent queued slots,
+/// in address order.
+fn slot_runs(slots: &[Queued]) -> Vec<libc::iovec> {
+    let mut spans: Vec<(usize, usize)> = slots
+        .iter()
+        .map(|(slab, slot)| (slab.slot_base(*slot) as usize, slab.stride))
+        .collect();
+    spans.sort_unstable();
+    let mut runs: Vec<libc::iovec> = Vec::with_capacity(spans.len());
+    for (base, len) in spans {
+        match runs.last_mut() {
+            Some(run) if run.iov_base as usize + run.iov_len == base => run.iov_len += len,
+            _ => runs.push(libc::iovec {
+                iov_base: base as *mut libc::c_void,
+                iov_len: len,
+            }),
+        }
+    }
+    runs
+}
+
+/// How many leading `ranges` a vectored call that advised `bytes` covered
+/// completely.
+fn covered(ranges: &[libc::iovec], mut bytes: usize) -> usize {
+    ranges
+        .iter()
+        .take_while(|r| {
+            let whole = r.iov_len <= bytes;
+            if whole {
+                bytes -= r.iov_len;
+            }
+            whole
+        })
+        .count()
+}
+
+/// `pidfd_open(2)` for this process (close-on-exec, as every pidfd is).
+fn open_self_pidfd(pid: libc::pid_t) -> io::Result<OwnedFd> {
+    // SAFETY: pidfd_open takes no pointers.
+    let fd = unsafe { libc::syscall(libc::SYS_pidfd_open, pid, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: the kernel just returned this descriptor and nothing else owns it.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd as i32) })
+}
+
+/// One `process_madvise(2)` call dropping the pages of every range; returns
+/// the bytes advised, which may stop short of the total.
+///
+/// # Safety
+///
+/// Every range must be private anonymous memory that nothing reads or
+/// writes until it is handed out again: its contents become zeroes.
+unsafe fn process_dontneed(pidfd: &OwnedFd, ranges: &[libc::iovec]) -> io::Result<usize> {
+    // SAFETY: `ranges` is a live slice of `ranges.len()` iovecs, which the
+    // kernel only reads; the caller vouches for the memory they describe.
+    let n = unsafe {
+        libc::syscall(
+            libc::SYS_process_madvise,
+            pidfd.as_raw_fd(),
+            ranges.as_ptr(),
+            ranges.len(),
+            libc::MADV_DONTNEED,
+            0,
+        )
+    };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(n as usize)
+}
+
+/// The fallback: one `madvise(MADV_DONTNEED)` per range.
+///
+/// # Safety
+///
+/// As for [`process_dontneed`].
+unsafe fn madvise_dontneed(ranges: &[libc::iovec]) {
+    for r in ranges {
+        // SAFETY: the caller vouches for the ranges.
+        unsafe { libc::madvise(r.iov_base, r.iov_len, libc::MADV_DONTNEED) };
+    }
+}
+
+/// Whether the pool drops a batch's pages with `process_madvise`.
+#[derive(Debug)]
+enum Vectored {
+    /// Not tried yet.
+    Unprobed,
+    /// A pidfd opened by process `pid`. A forked child holds its parent's
+    /// pidfd, so it opens its own before the next flush.
+    Open { pidfd: OwnedFd, pid: libc::pid_t },
+    /// The kernel refused `pidfd_open` or `process_madvise`: every flush
+    /// takes the `madvise` fallback from now on.
+    Refused,
+}
+
+/// Dense slots released since the last flush.
+#[derive(Debug)]
+struct Pending {
+    slots: Vec<Queued>,
+    vectored: Vectored,
+}
+
+impl Pending {
+    /// Drop the pages of every queued slot, then return the slots to their
+    /// slabs' free lists in release order. Returns the number reclaimed.
+    fn flush(&mut self) -> usize {
+        if self.slots.is_empty() {
+            return 0;
+        }
+        let runs = slot_runs(&self.slots);
+        let done = self.dontneed_vectored(&runs);
+        // SAFETY: queued slots are released stacks of live slabs (the queue
+        // holds their `Arc`s), and none is handed out until it is back on a
+        // free list below.
+        unsafe { madvise_dontneed(&runs[done..]) };
+        let n = self.slots.len();
+        for (slab, slot) in self.slots.drain(..) {
+            slab.free.lock().push(slot);
+        }
+        n
+    }
+
+    /// Drop `runs` (ranges of queued slots only) with one `process_madvise`;
+    /// returns how many leading runs it covered (none once the kernel has
+    /// refused the call).
+    fn dontneed_vectored(&mut self, runs: &[libc::iovec]) -> usize {
+        if matches!(self.vectored, Vectored::Refused) {
+            return 0;
+        }
+        // SAFETY: getpid cannot fail and takes no arguments.
+        let pid = unsafe { libc::getpid() };
+        if !matches!(self.vectored, Vectored::Open { pid: p, .. } if p == pid) {
+            self.vectored = match open_self_pidfd(pid) {
+                Ok(pidfd) => Vectored::Open { pidfd, pid },
+                Err(_) => Vectored::Refused,
+            };
+        }
+        let Vectored::Open { pidfd, .. } = &self.vectored else {
+            return 0;
+        };
+        // SAFETY: `runs` covers only queued slots (see `flush`).
+        match unsafe { process_dontneed(pidfd, runs) } {
+            Ok(bytes) => covered(runs, bytes),
+            Err(_) => {
+                self.vectored = Vectored::Refused;
+                0
+            }
+        }
+    }
+}
+
 /// A recycling stack pool: size-classed freelists of owned stacks plus
 /// dense slab slots for high-cardinality use.
 ///
-/// `acquire` prefers a cached stack of the exact class; `release` returns a
-/// stack to the pool (after `MADV_DONTNEED`, unless disabled) or drops it
-/// when the class is at capacity. The pool tracks outstanding stacks and
-/// their high-water mark so callers can assert it never caches more than
-/// was ever live.
+/// `acquire` prefers a cached stack of the exact class; `release` drops an
+/// owned stack's pages and caches it (or unmaps it when the class is at
+/// capacity), and queues a dense slot for batched reclaim (see the module
+/// docs). The pool tracks outstanding stacks and their high-water mark so
+/// callers can assert it never caches more than was ever live.
 #[derive(Debug)]
 pub struct StackPool {
     classes: Mutex<Vec<(usize, Vec<Stack>)>>,
     /// Dense slabs, keyed by stride; newest last. Slots recycle through
     /// each slab's internal free list.
     slabs: Mutex<Vec<Arc<SlabInner>>>,
+    /// Released dense slots whose pages are not yet dropped. Lock order:
+    /// `slabs`, then `pending`, then a slab's `free`.
+    pending: Mutex<Pending>,
     max_per_class: usize,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -311,10 +517,9 @@ pub struct StackPool {
     outstanding: AtomicUsize,
     /// High-water mark of `outstanding`.
     peak_outstanding: AtomicUsize,
-    /// Releases that dropped backing pages with `MADV_DONTNEED`.
+    /// Stacks whose backing pages were dropped: owned stacks at release,
+    /// dense slots at flush.
     recycled: AtomicUsize,
-    /// Whether `release` calls `madvise(MADV_DONTNEED)` (default on).
-    dontneed: AtomicBool,
 }
 
 impl StackPool {
@@ -324,25 +529,28 @@ impl StackPool {
         StackPool {
             classes: Mutex::new(Vec::new()),
             slabs: Mutex::new(Vec::new()),
+            pending: Mutex::new(Pending {
+                slots: Vec::with_capacity(RECLAIM_BATCH),
+                vectored: Vectored::Unprobed,
+            }),
             max_per_class,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
             peak_outstanding: AtomicUsize::new(0),
             recycled: AtomicUsize::new(0),
-            dontneed: AtomicBool::new(true),
         }
-    }
-
-    /// Enable/disable `MADV_DONTNEED` on release (on by default; benches
-    /// that want to measure raw reuse can turn it off).
-    pub fn set_dontneed(&self, on: bool) {
-        self.dontneed.store(on, Ordering::Relaxed);
     }
 
     fn charge_out(&self) {
         let now = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_outstanding.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// Flush the queued batch, counting its slots as recycled.
+    fn flush(&self, pending: &mut Pending) {
+        let n = pending.flush();
+        self.recycled.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Fetch a pooled stack of at least `usable` bytes or allocate a new one.
@@ -366,78 +574,91 @@ impl StackPool {
     }
 
     /// Fetch a dense slab slot of at least `usable` bytes (page-rounded to
-    /// a stride class), carving a new slab when every existing one of the
-    /// class is full. Reuse of a recycled slot counts as a pool hit; a
-    /// fresh carve (or a fresh slab) counts as a miss.
+    /// a stride class), flushing the queued batch when no slot is free and
+    /// carving a new slab when every existing one of the class is full.
+    /// Reuse of a recycled slot counts as a pool hit; a fresh carve (or a
+    /// fresh slab) counts as a miss.
     pub fn acquire_dense(&self, usable: usize) -> io::Result<Stack> {
         let page = page_size();
         let stride = round_up(usable.max(page), page);
         let mut slabs = self.slabs.lock();
         // Prefer recycled slots (LIFO within a slab, newest slab first —
-        // the warmest memory), then carve from the newest slab of the
-        // class, then map a new slab.
-        for slab in slabs.iter().rev() {
-            if slab.stride != stride {
-                continue;
-            }
-            if let Some(s) = slab.free.lock().pop() {
-                let base = slab.slot_base(s);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.charge_out();
-                return Ok(Stack {
-                    base,
-                    total: stride,
-                    usable: stride,
-                    backing: Backing::Slab {
-                        slab: slab.clone(),
-                        slot: s,
-                    },
-                });
-            }
+        // the warmest memory), then the queued batch, then carve from the
+        // newest slab of the class, then map a new slab.
+        let reuse = |slabs: &[Arc<SlabInner>]| {
+            slabs
+                .iter()
+                .rev()
+                .filter(|slab| slab.stride == stride)
+                .find_map(|slab| slab.pop_free())
+        };
+        let hit = |stack| {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.charge_out();
+            Ok(stack)
+        };
+        if let Some(stack) = reuse(&slabs) {
+            return hit(stack);
         }
-        for slab in slabs.iter().rev() {
-            if slab.stride != stride {
-                continue;
-            }
-            if let Some(stack) = slab.take_slot() {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.charge_out();
-                return Ok(stack);
-            }
+        // Hold `pending` through the carve's charge: a flush in progress
+        // finishes before we look again, and no release can queue a slot
+        // and drop `outstanding` in between. Every carved slot is then
+        // outstanding when a new one is carved, so carves never outrun
+        // the peak.
+        let mut pending = self.pending.lock();
+        self.flush(&mut pending);
+        if let Some(stack) = reuse(&slabs) {
+            return hit(stack);
         }
-        let slab = SlabInner::new(stride)?;
-        let stack = slab.take_slot().expect("fresh slab has slots");
-        slabs.push(slab);
+        let carved = slabs
+            .iter()
+            .rev()
+            .filter(|slab| slab.stride == stride)
+            .find_map(|slab| slab.carve());
+        let stack = match carved {
+            Some(stack) => stack,
+            None => {
+                let slab = SlabInner::new(stride)?;
+                let stack = slab.carve().expect("fresh slab has slots");
+                slabs.push(slab);
+                stack
+            }
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.charge_out();
         Ok(stack)
     }
 
-    /// Return a stack to the pool. The usable region's backing pages are
-    /// dropped with `MADV_DONTNEED` (unless disabled), so cached stacks
-    /// cost no resident memory; slab slots go back to their slab's free
-    /// list, owned stacks to the size-classed freelist (dropped if the
-    /// class is full).
+    /// Return a stack to the pool. A dense slot joins the reclaim batch,
+    /// which is flushed once it holds `RECLAIM_BATCH` (32) slots. An owned
+    /// stack's pages are dropped at once; it then goes back to its
+    /// size-classed freelist, or is unmapped if the class is full. Either
+    /// way the stack is cached before `outstanding` drops.
     pub fn release(&self, stack: Stack) {
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
-        if self.dontneed.load(Ordering::Relaxed) {
-            stack.dont_need();
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-        }
-        if stack.is_slab_slot() {
-            // Drop runs the slab-slot return path.
-            drop(stack);
-            return;
-        }
-        let class = stack.usable_size();
-        let mut classes = self.classes.lock();
-        if let Some((_, list)) = classes.iter_mut().find(|(sz, _)| *sz == class) {
-            if list.len() < self.max_per_class {
-                list.push(stack);
+        let stack = match stack.into_slab_slot() {
+            Ok(queued) => {
+                let mut pending = self.pending.lock();
+                pending.slots.push(queued);
+                self.outstanding.fetch_sub(1, Ordering::Relaxed);
+                if pending.slots.len() >= RECLAIM_BATCH {
+                    self.flush(&mut pending);
+                }
+                return;
             }
-            return;
+            Err(owned) => owned,
+        };
+        stack.dont_need();
+        self.recycled.fetch_add(1, Ordering::Relaxed);
+        let class = stack.usable_size();
+        {
+            let mut classes = self.classes.lock();
+            match classes.iter_mut().find(|(sz, _)| *sz == class) {
+                Some((_, list)) if list.len() < self.max_per_class => list.push(stack),
+                Some(_) => drop(stack),
+                None => classes.push((class, vec![stack])),
+            }
         }
-        classes.push((class, vec![stack]));
+        self.outstanding.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// (pool hits, pool misses) since creation.
@@ -458,22 +679,26 @@ impl StackPool {
         self.peak_outstanding.load(Ordering::Relaxed)
     }
 
-    /// Releases whose backing pages were dropped with `MADV_DONTNEED`.
+    /// Stacks whose backing pages were dropped: owned stacks as they are
+    /// released, dense slots when their batch is flushed.
     pub fn recycled(&self) -> usize {
         self.recycled.load(Ordering::Relaxed)
     }
 
-    /// Number of stacks currently cached (owned freelist entries plus
-    /// recycled slab slots).
+    /// Number of stacks currently cached: owned freelist entries, free slab
+    /// slots and dense slots queued for reclaim.
     pub fn cached(&self) -> usize {
         let owned: usize = self.classes.lock().iter().map(|(_, l)| l.len()).sum();
-        let dense: usize = self.slabs.lock().iter().map(|s| s.free.lock().len()).sum();
-        owned + dense
+        let slabs = self.slabs.lock();
+        let queued = self.pending.lock().slots.len();
+        let free: usize = slabs.iter().map(|s| s.free.lock().len()).sum();
+        owned + free + queued
     }
 
     /// Shrink the cache: truncate each owned size class to `max_cached`
-    /// entries (`munmap`ing the excess) and unmap slabs whose every carved
-    /// slot is free. Returns the number of cached stacks freed.
+    /// entries (`munmap`ing the excess), flush the reclaim batch and unmap
+    /// slabs whose every carved slot is free. Returns the number of cached
+    /// stacks freed.
     pub fn shrink(&self, max_cached: usize) -> usize {
         let mut freed = 0;
         {
@@ -487,6 +712,7 @@ impl StackPool {
         }
         {
             let mut slabs = self.slabs.lock();
+            self.flush(&mut self.pending.lock());
             slabs.retain(|slab| {
                 if slab.is_idle() {
                     freed += slab.free.lock().len();
@@ -651,23 +877,165 @@ mod tests {
 
     #[test]
     fn dontneed_zeroes_on_touch() {
-        // Satellite: after release (which MADV_DONTNEEDs), the recycled
-        // stack reads as zeroes — the dirtied pages were truly dropped.
-        let pool = StackPool::new(4);
-        let s = pool.acquire(32 * 1024).unwrap();
+        // Satellite: after release (and, for a dense slot, the flush its
+        // reacquire forces), the recycled stack reads as zeroes — the
+        // dirtied pages were truly dropped.
+        type Acquire = fn(&StackPool, usize) -> io::Result<Stack>;
+        for acquire in [StackPool::acquire as Acquire, StackPool::acquire_dense] {
+            let pool = StackPool::new(4);
+            let s = acquire(&pool, 32 * 1024).unwrap();
+            dirty(&s);
+            let base = s.bottom() as usize;
+            pool.release(s);
+            let s = acquire(&pool, 32 * 1024).unwrap();
+            assert_eq!(s.bottom() as usize, base, "same stack back");
+            assert_zeroed(&s);
+            assert_eq!(pool.recycled(), 1);
+        }
+    }
+
+    fn dirty(s: &Stack) {
         unsafe {
             s.bottom().write_volatile(0x5A);
             s.top().sub(1).write_volatile(0xA5);
         }
-        let base = s.bottom() as usize;
-        pool.release(s);
-        let s = pool.acquire(32 * 1024).unwrap();
-        assert_eq!(s.bottom() as usize, base, "same stack back");
+    }
+
+    fn assert_zeroed(s: &Stack) {
         unsafe {
             assert_eq!(s.bottom().read_volatile(), 0, "low byte zeroed");
             assert_eq!(s.top().sub(1).read_volatile(), 0, "high byte zeroed");
         }
-        assert!(pool.recycled() >= 1);
+    }
+
+    fn range_of(s: &Stack) -> [libc::iovec; 1] {
+        [libc::iovec {
+            iov_base: s.bottom() as *mut libc::c_void,
+            iov_len: s.usable_size(),
+        }]
+    }
+
+    #[test]
+    fn dense_slot_zeroes_on_both_reclaim_paths() {
+        let pool = StackPool::new(4);
+        let s = pool.acquire_dense(32 * 1024).unwrap();
+        let range = range_of(&s);
+        // process_madvise, where the kernel accepts MADV_DONTNEED from it
+        // (6.13 and later); older kernels refuse it and only the fallback
+        // below applies.
+        dirty(&s);
+        let pid = unsafe { libc::getpid() };
+        // SAFETY: `s` is held here and nothing else touches its memory.
+        match open_self_pidfd(pid).and_then(|fd| unsafe { process_dontneed(&fd, &range) }) {
+            Ok(bytes) => {
+                assert_eq!(bytes, s.usable_size(), "one range, fully advised");
+                assert_zeroed(&s);
+                eprintln!("reclaim path: process_madvise");
+            }
+            Err(e) => eprintln!("reclaim path: madvise fallback (process_madvise: {e})"),
+        }
+        // The fallback, called directly.
+        dirty(&s);
+        // SAFETY: as above.
+        unsafe { madvise_dontneed(&range) };
+        assert_zeroed(&s);
+        pool.release(s);
+    }
+
+    #[test]
+    fn refused_pool_flushes_through_the_fallback() {
+        let pool = StackPool::new(4);
+        pool.pending.lock().vectored = Vectored::Refused;
+        let s = pool.acquire_dense(32 * 1024).unwrap();
+        dirty(&s);
+        pool.release(s);
+        let s = pool.acquire_dense(32 * 1024).unwrap();
+        assert_zeroed(&s);
+        assert_eq!(pool.recycled(), 1);
+        assert!(matches!(pool.pending.lock().vectored, Vectored::Refused));
+    }
+
+    #[test]
+    fn partial_batch_flushes_before_carving() {
+        // A queued slot is never handed out, and never shadowed by a carve:
+        // the next acquire that finds no free slot flushes the batch and
+        // reuses one of its slots.
+        let pool = StackPool::new(4);
+        let held: Vec<_> = (0..5)
+            .map(|_| pool.acquire_dense(16 * 1024).unwrap())
+            .collect();
+        let bases: Vec<usize> = held.iter().map(|s| s.bottom() as usize).collect();
+        for s in held {
+            pool.release(s);
+        }
+        assert_eq!(pool.recycled(), 0, "a partial batch is only queued");
+        assert_eq!(pool.cached(), 5, "queued slots count as cached");
+        let (hits, misses) = pool.stats();
+        let s = pool.acquire_dense(16 * 1024).unwrap();
+        assert!(bases.contains(&(s.bottom() as usize)));
+        assert_eq!(pool.stats(), (hits + 1, misses), "a reuse, not a carve");
+        assert_eq!(pool.recycled(), 5, "the whole batch was flushed");
+        assert_eq!(pool.cached(), 4);
+    }
+
+    #[test]
+    fn full_batch_flushes_on_release() {
+        let pool = StackPool::new(4);
+        let held: Vec<_> = (0..RECLAIM_BATCH + 1)
+            .map(|_| pool.acquire_dense(16 * 1024).unwrap())
+            .collect();
+        for (i, s) in held.into_iter().enumerate() {
+            dirty(&s);
+            pool.release(s);
+            let flushed = if i + 1 >= RECLAIM_BATCH {
+                RECLAIM_BATCH
+            } else {
+                0
+            };
+            assert_eq!(pool.recycled(), flushed, "after release {i}");
+        }
+        assert_eq!(pool.cached(), RECLAIM_BATCH + 1);
+        assert!(pool.cached() <= pool.peak_outstanding());
+        // Every flushed slot reads zero.
+        let again: Vec<_> = (0..RECLAIM_BATCH)
+            .map(|_| pool.acquire_dense(16 * 1024).unwrap())
+            .collect();
+        for s in &again {
+            assert_zeroed(s);
+        }
+        assert_eq!(
+            pool.stats().1,
+            RECLAIM_BATCH + 1,
+            "no carve after the flush"
+        );
+    }
+
+    #[test]
+    fn adjacent_slots_merge_into_runs() {
+        let pool = StackPool::new(4);
+        let s: Vec<_> = (0..4)
+            .map(|_| pool.acquire_dense(16 * 1024).unwrap())
+            .collect();
+        let stride = s[0].usable_size();
+        // Slots 3, 0, 1 queued out of order: runs {0, 1} and {3}.
+        let queued: Vec<Queued> = [3, 0, 1]
+            .iter()
+            .map(|&i| match &s[i].backing {
+                Backing::Slab { slab, slot } => (slab.clone(), *slot),
+                Backing::Owned => unreachable!(),
+            })
+            .collect();
+        let runs = slot_runs(&queued);
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].iov_base as usize, s[0].bottom() as usize);
+        assert_eq!(runs[0].iov_len, 2 * stride);
+        assert_eq!(runs[1].iov_base as usize, s[3].bottom() as usize);
+        assert_eq!(runs[1].iov_len, stride);
+        // A short vectored return covers only the whole leading runs.
+        assert_eq!(covered(&runs, 3 * stride), 2);
+        assert_eq!(covered(&runs, 3 * stride - 1), 1);
+        assert_eq!(covered(&runs, 2 * stride - 1), 0);
+        assert_eq!(covered(&runs, 0), 0);
     }
 
     #[test]

@@ -105,6 +105,93 @@ fn stack_pool_contended_across_threads() {
 }
 
 #[test]
+fn dense_stack_pool_contended_across_threads() {
+    // Dense slots under contention: every thread keeps a few stacks live,
+    // stamps its own pattern into the top 8 KiB of each and checks it just
+    // before release. A batch flush that dropped a live slot's pages (or a
+    // queued slot handed out twice) breaks some thread's pattern.
+    const TOP: usize = 8 * 1024;
+    const LIVE: usize = 3;
+    let pool = Arc::new(StackPool::new(16));
+    // Start with a deep free list, so that acquires mostly reuse free slots
+    // without waiting for the reclaim batch and can race a flush.
+    let warm: Vec<_> = (0..256)
+        .map(|_| pool.acquire_dense(16 * 1024).unwrap())
+        .collect();
+    for stack in warm {
+        pool.release(stack);
+    }
+    let handles: Vec<_> = (0..4u8)
+        .map(|t| {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                let mut live: Vec<(Stack, u8)> = Vec::new();
+                for i in 0..3000usize {
+                    let stack = pool.acquire_dense(16 * 1024).unwrap();
+                    let tag = t.wrapping_mul(64).wrapping_add(i as u8) | 1;
+                    // SAFETY: the top `TOP` bytes lie inside this thread's
+                    // own live stack.
+                    unsafe { std::ptr::write_bytes(stack.top().sub(TOP), tag, TOP) };
+                    live.push((stack, tag));
+                    if live.len() > LIVE {
+                        let (stack, tag) = live.remove(i % LIVE);
+                        // SAFETY: as above; the stack is still held.
+                        let top = unsafe { std::slice::from_raw_parts(stack.top().sub(TOP), TOP) };
+                        assert!(
+                            top.iter().all(|&b| b == tag),
+                            "thread {t}: a live stack lost its contents"
+                        );
+                        pool.release(stack);
+                    }
+                }
+                for (stack, _) in live {
+                    pool.release(stack);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(pool.outstanding(), 0);
+    assert!(pool.recycled() > 0, "batches were flushed");
+    assert!(pool.cached() <= pool.peak_outstanding());
+}
+
+#[test]
+fn dense_cache_never_exceeds_peak_under_contention() {
+    // Regression: a release that dropped `outstanding` before its slot was
+    // cached let a concurrent acquire carve a fresh slot without raising
+    // the high-water mark, so the cache ended up larger than the peak.
+    for round in 0..40 {
+        let pool = Arc::new(StackPool::new(16));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let pool = pool.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..250 {
+                        let a = pool.acquire_dense(16 * 1024).unwrap();
+                        let b = pool.acquire_dense(16 * 1024).unwrap();
+                        pool.release(a);
+                        pool.release(b);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(pool.outstanding(), 0);
+        assert!(
+            pool.cached() <= pool.peak_outstanding(),
+            "round {round}: {} cached > peak {}",
+            pool.cached(),
+            pool.peak_outstanding()
+        );
+    }
+}
+
+#[test]
 fn guard_page_is_protected() {
     // Writing just below the usable region must fault — verify the guard
     // page exists by checking mprotect semantics indirectly: the bottom

@@ -35,6 +35,20 @@ pub const SYS_futex: c_long = 202;
 #[allow(non_upper_case_globals)]
 pub const SYS_futex: c_long = 98;
 
+// The generic syscall table gives these two the same numbers on both arches.
+#[allow(non_upper_case_globals)]
+pub const SYS_pidfd_open: c_long = 434;
+#[allow(non_upper_case_globals)]
+pub const SYS_process_madvise: c_long = 440;
+
+/// One `(base, len)` range of a vectored call such as `process_madvise`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct iovec {
+    pub iov_base: *mut c_void,
+    pub iov_len: size_t,
+}
+
 pub const FUTEX_WAIT: c_int = 0;
 pub const FUTEX_WAKE: c_int = 1;
 pub const FUTEX_PRIVATE_FLAG: c_int = 128;
