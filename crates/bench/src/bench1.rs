@@ -248,6 +248,7 @@ pub fn to_json(b: &Bench1) -> String {
             json_num(b.yield_storm_100k.switches_per_sec),
             json_num(b.yield_storm_100k.peak_rss_mib),
         ),
+        host_row(b.churn_100k.traced || b.churn_1m.traced || b.yield_storm_100k.traced),
     ];
     format!(
         "{{\n  \"bench\": \"ulp-rs hot-path overhaul\",\n  \"protocol\": \"min of {} runs, warm-up loop per run\",\n  \"metrics\": {{\n{}\n  }},\n  \"percentiles\": {{\n{}\n  }},\n  \"scale\": {{\n{}\n  }}\n}}\n",
@@ -255,6 +256,31 @@ pub fn to_json(b: &Bench1) -> String {
         rows.join(",\n"),
         pct_rows.join(",\n"),
         scale_rows.join(",\n"),
+    )
+}
+
+/// The host the scale rows ran on: CPU model, online CPUs, kernel release
+/// and whether the measured runtimes' tracer was recording.
+fn host_row(traced: bool) -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|t| {
+            t.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map(|t| t.trim().to_string())
+        .unwrap_or_else(|_| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let clean = |v: &str| v.replace(['"', '\\'], "");
+    format!(
+        "    \"host\": {{\"cpu\": \"{}\", \"nproc\": {nproc}, \"kernel\": \"{}\", \"tracing\": \"{}\"}}",
+        clean(&cpu),
+        clean(&kernel),
+        if traced { "on" } else { "off" },
     )
 }
 
@@ -297,6 +323,7 @@ mod tests {
             peak_rss_mib: 120.5,
             stack_peak: 4096,
             stack_recycled: n.saturating_sub(4096),
+            traced: false,
         }
     }
 
@@ -305,6 +332,7 @@ mod tests {
             ulps: 100_000,
             switches_per_sec: 3.0e6,
             peak_rss_mib: 800.0,
+            traced: false,
         }
     }
 
@@ -328,6 +356,8 @@ mod tests {
         let s = to_json(&b);
         assert!(s.contains("\"yield_latency_global_fifo\""));
         assert!(s.contains("\"after\": 123.4"));
+        assert!(s.contains("\"host\": {\"cpu\": \""));
+        assert!(s.contains("\"tracing\": \"off\"}"));
         // Balanced braces — crude but catches truncation.
         assert_eq!(
             s.matches('{').count(),

@@ -495,6 +495,8 @@ pub struct PooledChurn {
     pub stack_peak: usize,
     /// Acquisitions served by recycling a previously-released stack.
     pub stack_recycled: usize,
+    /// Whether the runtime's tracer was recording during the run.
+    pub traced: bool,
 }
 
 /// Churn `n` short-lived pooled ULPs through the runtime in waves of
@@ -526,6 +528,7 @@ pub fn pooled_churn(n: usize, wave: usize, pool_kcs: usize) -> PooledChurn {
         peak_rss_mib: peak_rss,
         stack_peak: rt.stack_pool().peak_outstanding(),
         stack_recycled: rt.stack_pool().recycled(),
+        traced: rt.trace_enabled(),
     }
 }
 
@@ -540,6 +543,8 @@ pub struct PooledStorm {
     pub switches_per_sec: f64,
     /// Peak `VmRSS` sampled across the run, MiB.
     pub peak_rss_mib: f64,
+    /// Whether the runtime's tracer was recording during the run.
+    pub traced: bool,
 }
 
 /// `n` pooled ULPs all alive at once, each yielding `yields_each` times;
@@ -558,6 +563,8 @@ pub fn pooled_yield_storm(n: usize, yields_each: usize, pool_kcs: usize) -> Pool
     let handles: Vec<_> = (0..n)
         .map(|_| {
             rt.spawn_pooled("storm", move || {
+                // Born coupled on its pool KC; leave it to be scheduled.
+                decouple().expect("a pooled ULP can decouple");
                 for _ in 0..yields_each {
                     yield_now();
                 }
@@ -578,6 +585,7 @@ pub fn pooled_yield_storm(n: usize, yields_each: usize, pool_kcs: usize) -> Pool
         ulps: n,
         switches_per_sec: switches as f64 / secs,
         peak_rss_mib: mid_rss.max(self_rss_mib()),
+        traced: rt.trace_enabled(),
     }
 }
 

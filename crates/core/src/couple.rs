@@ -29,7 +29,7 @@
 
 use crate::current::{run_deferred, with_thread, Deferred, ThreadBlock};
 use crate::error::UlpError;
-use crate::uc::{UcInner, UcKind};
+use crate::uc::{UcInner, UcKind, UcState};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use ulp_fcontext::RawContext;
@@ -170,28 +170,36 @@ pub fn decouple() -> Result<bool, UlpError> {
         // CoupleRequest was published by the host scheduler only after the
         // requester's registers landed (Table I race point 1).
         if let Some(waiter) = me.kc.pending.lock().pop_front() {
-            if let Some(s) = b.shard() {
-                s.bump_couple_handoffs();
-            }
-            if let Some(t) = b.trace() {
-                t.record(crate::trace::Event::CoupleHandoff {
-                    from: me.id,
-                    to: waiter.id,
-                });
-                if t.is_on() {
-                    // Refine the waiter's wake attribution: the generic
-                    // couple-resume stamped at request publication becomes a
-                    // direct handoff from us, the decoupling UC. The waiter
-                    // consumes this when it records `Coupled`.
-                    waiter.wake_from.store(
-                        crate::uc::encode_wake_from(me.id, ulp_kernel::WakeSite::CoupleHandoff),
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                    // The request also armed this KC's notify cell for a
-                    // park that never happened (we served the waiter while
-                    // running); discard it so a later unrelated park exit
-                    // cannot claim it.
-                    let _ = me.kc.wake.take();
+            // A pool KC's queue also holds pooled ULPs that have not run
+            // yet (born coupled, rule 1). Switching into one is the same
+            // serve the pool loop would do, but it answers no couple
+            // request: no handoff is counted or traced for it, and no wake
+            // edge is stamped that no `Coupled` would ever consume.
+            if waiter.state() != UcState::Created {
+                if let Some(s) = b.shard() {
+                    s.bump_couple_handoffs();
+                }
+                if let Some(t) = b.trace() {
+                    t.record(crate::trace::Event::CoupleHandoff {
+                        from: me.id,
+                        to: waiter.id,
+                    });
+                    if t.is_on() {
+                        // Refine the waiter's wake attribution: the generic
+                        // couple-resume stamped at request publication
+                        // becomes a direct handoff from us, the decoupling
+                        // UC. The waiter consumes this when it records
+                        // `Coupled`.
+                        waiter.wake_from.store(
+                            crate::uc::encode_wake_from(me.id, ulp_kernel::WakeSite::CoupleHandoff),
+                            std::sync::atomic::Ordering::Relaxed,
+                        );
+                        // The request also armed this KC's notify cell for
+                        // a park that never happened (we served the waiter
+                        // while running); discard it so a later unrelated
+                        // park exit cannot claim it.
+                        let _ = me.kc.wake.take();
+                    }
                 }
             }
             let target = unsafe { *waiter.ctx.get() };
@@ -416,14 +424,13 @@ pub fn is_coupled() -> Option<bool> {
     with_thread(|b| b.ulp().map(|u| u.is_coupled()))
 }
 
-/// Number of couple requesters currently parked in the calling UC's
-/// original kernel context's pending queue. `None` when not running inside
-/// a ULP.
+/// Number of UCs currently waiting in the calling UC's original kernel
+/// context's pending queue: couple requesters and, on a pool KC, pooled
+/// ULPs that have not started yet. `None` when not running inside a ULP.
 ///
-/// A coupled UC that decouples while this is nonzero takes the
-/// direct-handoff fast path (it switches straight into the waiting
-/// requester), so cooperative workloads can use this as a "someone is
-/// waiting for my KC" hint.
+/// A coupled UC that decouples while this is nonzero switches straight
+/// into the first waiter (the direct-handoff fast path), so cooperative
+/// workloads can use this as a "someone is waiting for my KC" hint.
 pub fn pending_couplers() -> Option<usize> {
     with_thread(|b| b.ulp().map(|u| u.kc.pending.lock().len()))
 }

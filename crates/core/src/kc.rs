@@ -151,8 +151,10 @@ fn tc_loop(boot: &TcBoot) -> ! {
 /// process of its own: it lends its OS thread to many pooled ULPs in turn,
 /// rebinding its kernel identity to each ULP's pid as it serves it (the
 /// binding is a thread-local pointer swap, so the rebind costs nothing that
-/// scales with the ULP count). The thread's native context doubles as the
-/// TC — `tc_started` is pre-set and `tc_ctx` is filled by the first
+/// scales with the ULP count). Its pending queue holds both newborn pooled
+/// ULPs (born coupled, rule 1) and couple requests; both are served the
+/// same way. The thread's native context doubles as the TC —
+/// `tc_started` is pre-set and `tc_ctx` is filled by the first
 /// `raw_switch` away — so a pool KC needs no trampoline stack at all.
 ///
 /// Exits when the runtime shuts down and the pending queue has drained.
@@ -167,23 +169,28 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<crate::uc::KcShared>) {
         // Eventcount read precedes the work checks (park protocol).
         let seen = kc.signal_version();
 
-        let next = kc.pending.lock().pop_front();
-        if let Some(uc) = next {
-            // Rebind unconditionally: a direct decouple→couple handoff on
-            // this KC may have left the thread bound to a different pooled
-            // pid than the last one this loop served, so a cached "last
-            // bound" pid would go stale. `bind_current` is a TLS update.
-            rt.kernel.bind_current(uc.pid);
-            let target = unsafe { *uc.ctx.get() };
-            install_ulp_no_charge(uc);
-            unsafe { raw_switch(kc.tc_ctx.get(), target, None) };
-            // Back on the native stack: the pooled ULP terminated (its
-            // stack recycled via the deferred hook) or decoupled again.
-            continue;
-        }
-
-        if rt.shutdown.load(Ordering::Acquire) && kc.pending.lock().is_empty() {
-            break;
+        // One guard for the pop and the exit check. `spawn_pooled` holds
+        // this lock while it checks the shutdown flag and pushes: either
+        // its push is seen here, or it sees the flag and refuses.
+        let mut pending = kc.pending.lock();
+        match pending.pop_front() {
+            Some(uc) => {
+                drop(pending);
+                // Rebind unconditionally: a direct decouple→couple handoff
+                // on this KC may have left the thread bound to a different
+                // pooled pid than the last one this loop served, so a
+                // cached "last bound" pid would go stale. `bind_current`
+                // is a TLS update.
+                rt.kernel.bind_current(uc.pid);
+                let target = unsafe { *uc.ctx.get() };
+                install_ulp_no_charge(uc);
+                unsafe { raw_switch(kc.tc_ctx.get(), target, None) };
+                // Back on the native stack: the pooled ULP terminated (its
+                // stack recycled via the deferred hook) or decoupled.
+                continue;
+            }
+            None if rt.shutdown.load(Ordering::Acquire) => break,
+            None => drop(pending),
         }
 
         // Rule 5: idle. Pool KCs have no primary BltId to tag a KcBlocked

@@ -499,11 +499,14 @@ impl Runtime {
         set_runtime(inner.clone());
         let mut handles = Vec::new();
         for idx in 0..inner.config.n_schedulers {
+            // The identity exists (and shows in `/proc`) before `build`
+            // returns; the thread only binds to it.
+            let identity = scheduler_identity(&inner, idx);
             let rt = inner.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ulp-sched-{idx}"))
-                    .spawn(move || scheduler_main(rt, idx))
+                    .spawn(move || scheduler_main(rt, identity, idx))
                     .expect("spawn scheduler thread"),
             );
         }
@@ -732,32 +735,24 @@ pub(crate) fn pin_current_thread(core: usize) -> bool {
     }
 }
 
-/// Scheduler thread body: a scheduler BLT in the paper's Fig. 6 — a KC
-/// bound to a program core, running decoupled UCs from the shared queue.
-fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
-    if rt.config.pin_schedulers {
-        let _ = pin_current_thread(idx);
-    }
+/// A scheduler's kernel process and identity UC, registered for `/proc`.
+/// Runs on the building thread, so every scheduler row exists once
+/// `build` returns; its KC reads `kc=unbound` until the thread binds.
+fn scheduler_identity(rt: &Arc<RuntimeInner>, idx: usize) -> Arc<UcInner> {
     let pid = rt
         .kernel
         .spawn_process(Some(rt.root_pid), &format!("ulp-sched-{idx}"));
-    rt.kernel.bind_current(pid);
-
-    let kc = Arc::new(KcShared::new(rt.config.idle_policy));
-    kc.thread_id
-        .set(std::thread::current().id())
-        .expect("fresh kc");
     let identity = Arc::new(UcInner {
         id: rt.alloc_id(),
         name: format!("sched-{idx}"),
         kind: UcKind::Scheduler,
         ctx: UnsafeCell::new(RawContext::null()),
-        kc,
+        kc: Arc::new(KcShared::new(rt.config.idle_policy)),
         pid,
         coupled: AtomicBool::new(true),
         state: AtomicU8::new(UcState::Running as u8),
         tls: TlsStorage::new(),
-        rt: Arc::downgrade(&rt),
+        rt: Arc::downgrade(rt),
         sib_stack: Mutex::new(None),
         sib_entry: Mutex::new(None),
         sib_result: Arc::new(OneShot::new()),
@@ -767,6 +762,21 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         spawn_ns: crate::trace::now_ns(),
     });
     rt.register_uc(&identity);
+    identity
+}
+
+/// Scheduler thread body: a scheduler BLT in the paper's Fig. 6 — a KC
+/// bound to a program core, running decoupled UCs from the shared queue.
+fn scheduler_main(rt: Arc<RuntimeInner>, identity: Arc<UcInner>, idx: usize) {
+    if rt.config.pin_schedulers {
+        let _ = pin_current_thread(idx);
+    }
+    rt.kernel.bind_current(identity.pid);
+    identity
+        .kc
+        .thread_id
+        .set(std::thread::current().id())
+        .expect("fresh kc");
     set_runtime(rt.clone());
     set_host(Some(identity.clone()));
     set_current_ulp(Some(identity.clone()));
@@ -784,7 +794,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
     }
 
     rt.runq.unregister_local();
-    let _ = rt.kernel.exit_process(pid, 0);
+    let _ = rt.kernel.exit_process(identity.pid, 0);
     rt.kernel.unbind_current();
     clear_thread_state();
 }

@@ -159,9 +159,10 @@ impl PooledHandle {
     }
 
     /// Block until the ULP terminates, reap its simulated-kernel zombie,
-    /// and return its exit status. Idempotent-safe to call once (like
-    /// `wait(2)`); the status is published only after the ULP's final
-    /// context switch, so every counter it bumped is visible by then.
+    /// and return its exit status. The status is published only after the
+    /// ULP's final context switch, so every counter it bumped is visible
+    /// by then. A second call returns the same status (the zombie is
+    /// already reaped).
     pub fn wait(&self) -> i32 {
         let status = self.result.wait();
         if let Some(rt) = self.rt.upgrade() {
@@ -195,10 +196,26 @@ impl Runtime {
     /// oversubscription mode: 100k–1M pooled ULPs run on a handful of KCs,
     /// with RSS tracking *live* ULPs rather than ever-spawned ones.
     ///
-    /// `f` starts decoupled (dispatched from the run queue by a scheduler)
-    /// and terminates coupled with its pool KC, per rule 7 — the same
-    /// switch/TLS cost shape as a sibling, with the pool KC rebinding its
-    /// kernel identity to the ULP's pid for the coupled stretch.
+    /// Like a [`Runtime::spawn`] body, `f` starts coupled (rule 1: a BLT
+    /// is born as a KLT): its pool KC rebinds its kernel identity to the
+    /// ULP's pid and switches straight into it, so `f` may make system
+    /// calls at once. A trivial pooled ULP costs two context switches
+    /// (pool KC → ULP, ULP → pool KC) and no dispatch, couple or TLS load.
+    /// A body that wants user-level scheduling calls [`crate::decouple`]
+    /// first, as a BLT body does; it terminates coupled with its pool KC
+    /// either way (rule 7).
+    ///
+    /// A coupled pooled body holds its pool KC's OS thread, and the pooled
+    /// ULPs queued behind it on that KC do not start until it decouples or
+    /// terminates. So a pooled body that waits on another pooled ULP (a
+    /// barrier, a channel, a lock it may hold) must call
+    /// [`crate::decouple`] before it waits: coupled, the wait stalls or
+    /// parks the pool KC and the ULP it waits for may never run.
+    ///
+    /// # Errors
+    /// [`UlpError::ShuttingDown`] once [`Runtime::shutdown`] has run (the
+    /// pool KCs have exited or are exiting and would never serve it), and
+    /// [`UlpError::StackAlloc`] when no stack slot can be carved.
     pub fn spawn_pooled<F>(&self, name: &str, f: F) -> Result<PooledHandle, UlpError>
     where
         F: FnOnce() -> i32 + Send + 'static,
@@ -424,13 +441,18 @@ fn spawn_pooled_inner(
     name: &str,
     f: UlpFn,
 ) -> Result<PooledHandle, UlpError> {
-    rt.stats.bump_pooled();
+    // Early refusal: after shutdown, allocate nothing and start no pool
+    // threads. The authoritative check is the locked one below.
+    if rt.shutdown.load(Ordering::Acquire) {
+        return Err(UlpError::ShuttingDown);
+    }
     // Dense slab slot, not a classed guard-paged stack: two VMAs per stack
     // would blow `vm.max_map_count` long before 1M ULPs.
     let stack = rt
         .stack_pool
         .acquire_dense(rt.config.pooled_stack_size)
         .map_err(|e| UlpError::StackAlloc(e.to_string()))?;
+    let top = stack.top();
     let pid = rt.kernel.spawn_process(Some(rt.root_pid), name);
     let kc = rt.pool_kc();
     let result = Arc::new(OneShot::new());
@@ -439,13 +461,13 @@ fn spawn_pooled_inner(
         name: name.to_string(),
         kind: UcKind::Pooled,
         ctx: UnsafeCell::new(ulp_fcontext::RawContext::null()),
-        kc,
+        kc: kc.clone(),
         pid,
-        coupled: AtomicBool::new(false),
+        coupled: AtomicBool::new(true),
         state: AtomicU8::new(UcState::Created as u8),
         tls: TlsStorage::new(),
         rt: Arc::downgrade(rt),
-        sib_stack: Mutex::new(None),
+        sib_stack: Mutex::new(Some(stack)),
         sib_entry: Mutex::new(Some(f)),
         sib_result: result.clone(),
         sigmask: crate::uc::SigMaskCell::new(ulp_kernel::SigSet::EMPTY),
@@ -457,24 +479,35 @@ fn spawn_pooled_inner(
     // entries would dominate the map, and procfs enrichment of short-lived
     // pooled rows is not worth that. `/proc/<pid>/stat` still works off the
     // kernel's own process table.
-    rt.tracer.record(crate::trace::Event::Spawn(uc.id));
     let raw = Arc::into_raw(uc.clone()) as *mut u8;
-    let ctx = unsafe { prepare(stack.top(), pooled_entry, raw) };
+    let ctx = unsafe { prepare(top, pooled_entry, raw) };
     unsafe {
         *uc.ctx.get() = ctx;
     }
-    *uc.sib_stack.lock() = Some(stack);
-    // Born decoupled, straight into the scheduled pool (like a sibling).
-    // As with siblings, the first dispatch's wake edge attributes to the
-    // spawner.
-    if rt.tracer.is_enabled() {
-        let waker = crate::current::current_ulp().map_or(BltId(0), |u| u.id);
-        uc.wake_from.store(
-            crate::uc::encode_wake_from(waker, ulp_kernel::WakeSite::Spawn),
-            Ordering::Relaxed,
-        );
+    // Rule 1: born coupled, i.e. queued on its pool KC like a couple
+    // request, which the KC serves by rebinding to our pid and switching
+    // in. The shutdown check shares the `pending` lock with `pool_main`'s
+    // drained-and-shutdown exit check, so a push never lands on a KC that
+    // has already decided to exit.
+    {
+        let mut pending = kc.pending.lock();
+        if rt.shutdown.load(Ordering::Acquire) {
+            drop(pending);
+            // Never ran: take back the entry's reference, the stack and
+            // the process.
+            drop(unsafe { Arc::from_raw(raw as *const UcInner) });
+            if let Some(stack) = uc.sib_stack.lock().take() {
+                rt.stack_pool.release(stack);
+            }
+            let _ = rt.kernel.exit_process(pid, 0);
+            let _ = rt.kernel.try_waitpid(rt.root_pid, Some(pid));
+            return Err(UlpError::ShuttingDown);
+        }
+        rt.stats.bump_pooled();
+        rt.tracer.record(crate::trace::Event::Spawn(uc.id));
+        pending.push_back(uc.clone());
     }
-    rt.runq.push(uc.clone());
+    kc.notify();
     Ok(PooledHandle {
         uc,
         result,
@@ -483,19 +516,26 @@ fn spawn_pooled_inner(
 }
 
 extern "C" fn pooled_entry(_arg: usize, data: *mut u8) -> ! {
-    // Whoever dispatched us deferred an action; drain it first.
+    // We start coupled on our pool KC, entered from its serve loop or from
+    // a pooled ULP that decoupled and handed the KC straight to us (its
+    // deferred enqueue is drained here).
     run_deferred();
     let uc: Arc<UcInner> = unsafe { Arc::from_raw(data as *const UcInner) };
     uc.set_state(UcState::Running);
-    let f = uc.sib_entry.lock().take().expect("pooled dispatched twice");
+    let f = uc
+        .sib_entry
+        .lock()
+        .take()
+        .expect("pooled ULP started twice");
     let status = match catch_unwind(AssertUnwindSafe(f)) {
         Ok(code) => code,
         Err(_) => PANIC_EXIT_STATUS,
     };
 
-    // Rule 7: terminate coupled with the (pool) original KC. The pool KC
-    // bound this thread to our pid when it served the couple request, so
-    // the process exit below runs under the right kernel identity.
+    // Rule 7: terminate coupled with the (pool) original KC: a no-op
+    // unless the body left us decoupled. The pool KC bound this thread to
+    // our pid when it last served us, so the process exit below runs under
+    // the right kernel identity.
     let _ = couple();
     debug_assert!(uc.kc.is_current_thread());
     uc.set_state(UcState::Terminated);

@@ -186,6 +186,28 @@ fn pid_stat_carries_ulp_enrichment() {
     assert_eq!(h.wait(), 0);
 }
 
+/// Scheduler identities exist once `build` returns: the building thread
+/// creates each scheduler's process and registers its identity before it
+/// starts the scheduler's thread, so a `/proc` reader on the root thread
+/// can never run ahead of them. Repeated because the race it guards
+/// against (the threads registering themselves) lost most of the time,
+/// not every time.
+#[test]
+fn scheduler_rows_exist_when_build_returns() {
+    for _ in 0..20 {
+        let rt = Runtime::builder().schedulers(2).build();
+        let rows = sys::readdir("/proc")
+            .unwrap()
+            .iter()
+            .filter(|e| e.name.parse::<u32>().is_ok())
+            .map(|e| read_all(&format!("/proc/{}/stat", e.name)))
+            .filter(|l| l.contains("(ulp-sched-") && l.contains("blt="))
+            .count();
+        assert_eq!(rows, 2, "enriched scheduler rows right after build()");
+        drop(rt);
+    }
+}
+
 /// A decoupled open still works (procfs doesn't care which KC executes the
 /// call) — but the §V-B hazard applies: `/proc/self` resolves through the
 /// *executing* thread's binding, i.e. the scheduler's identity, not the

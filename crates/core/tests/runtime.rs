@@ -768,11 +768,145 @@ fn pooled_ulp_panic_is_contained() {
 }
 
 #[test]
+fn pooled_ulp_is_born_coupled() {
+    // Rule 1: like a `spawn` body, a pooled body starts as a KLT on its
+    // (pool) KC, already bound to its own kernel identity.
+    let rt = Runtime::builder().schedulers(1).pool_kcs(1).build();
+    let h = rt
+        .spawn_pooled("born", || {
+            let coupled = is_coupled() == Some(true);
+            let pid = sys::getpid().unwrap();
+            if coupled {
+                pid.0 as i32
+            } else {
+                -1
+            }
+        })
+        .unwrap();
+    assert_eq!(h.wait(), h.pid().0 as i32);
+    assert!(rt.violations().is_empty(), "{:?}", rt.violations());
+}
+
+#[test]
+fn pooled_decouple_yield_couple_exact_costs() {
+    // A pooled body that opts into user-level scheduling. Alone on one
+    // scheduler and one pool KC, every step is deterministic:
+    //   serve (pool-TC→UC)                          1 switch
+    //   decouple (UC→pool-TC), dispatch (TLS load)  2 switches
+    //   yield_now: nobody else is runnable          0
+    //   coupled_scope: couple (TLS load), serve     2 switches
+    //                  decouple, dispatch (TLS)     2 switches
+    //   terminate: couple (TLS load), serve         2 switches
+    //              final switch to the pool-TC      1 switch
+    let rt = Runtime::builder()
+        .schedulers(1)
+        .pool_kcs(1)
+        .idle_policy(IdlePolicy::Blocking)
+        .build();
+    let before = rt.stats().snapshot();
+    let h = rt
+        .spawn_pooled("optin", || {
+            decouple().unwrap();
+            assert!(!yield_now(), "alone, a yield finds nobody to run");
+            let pid = coupled_scope(|| sys::getpid().unwrap()).unwrap();
+            assert_eq!(is_coupled(), Some(false));
+            pid.0 as i32
+        })
+        .unwrap();
+    assert_eq!(h.wait(), h.pid().0 as i32);
+    let d = rt.stats().snapshot().delta(&before);
+    assert_eq!(d.pooled_spawned, 1);
+    assert_eq!(d.decouples, 2);
+    assert_eq!(d.scheduler_dispatches, 2);
+    assert_eq!(d.yields, 0);
+    assert_eq!(d.couples, 2);
+    assert_eq!(d.couple_handoffs, 0);
+    assert_eq!(d.context_switches, 10);
+    assert_eq!(d.tls_loads, 4);
+    assert!(rt.violations().is_empty(), "{:?}", rt.violations());
+}
+
+#[test]
+fn spawn_pooled_after_shutdown_is_refused() {
+    // Once shutdown has run, the pool KCs have exited (or never started)
+    // and would never serve a new ULP: the spawn must fail rather than
+    // hand out a handle whose `wait()` blocks forever.
+    for warm in [false, true] {
+        let rt = Runtime::builder().schedulers(1).pool_kcs(1).build();
+        if warm {
+            assert_eq!(rt.spawn_pooled("warm", || 0).unwrap().wait(), 0);
+        }
+        let procs = rt.kernel().process_count();
+        rt.shutdown();
+        match rt.spawn_pooled("late", || 7) {
+            Err(ulp_core::UlpError::ShuttingDown) => {}
+            Err(e) => panic!("unexpected error: {e}"),
+            Ok(h) => {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let _ = tx.send(h.wait());
+                });
+                let waited = rx.recv_timeout(Duration::from_secs(3));
+                panic!("spawn_pooled after shutdown returned Ok (wait: {waited:?})");
+            }
+        }
+        assert_eq!(
+            rt.stack_pool().outstanding(),
+            0,
+            "refused spawn kept a stack"
+        );
+        assert!(
+            rt.kernel().process_count() <= procs,
+            "refused spawn left a process behind"
+        );
+    }
+}
+
+#[test]
+fn pooled_ulps_that_wait_on_each_other_decouple_first() {
+    // Two pooled ULPs on one pool KC that meet at a barrier. The first one
+    // served holds the KC's OS thread while coupled; the second is queued
+    // behind it and cannot start until the first decouples. Decoupled, both
+    // wait at user level on the scheduler and meet. The watchdog turns a
+    // head-of-line deadlock into a failure instead of a hang.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let rt = Runtime::builder()
+            .schedulers(1)
+            .pool_kcs(1)
+            .idle_policy(IdlePolicy::Blocking)
+            .build();
+        let barrier = Arc::new(ulp_core::sync::UlpBarrier::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|i| {
+                let barrier = barrier.clone();
+                rt.spawn_pooled(&format!("meet-{i}"), move || {
+                    decouple().unwrap();
+                    barrier.wait();
+                    coupled_scope(|| sys::getpid().unwrap()).unwrap().0 as i32
+                })
+                .unwrap()
+            })
+            .collect();
+        let ok = handles.iter().all(|h| h.wait() == h.pid().0 as i32);
+        let _ = tx.send((ok, rt.violations()));
+    });
+    let (ok, violations) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("pooled ULPs waiting on each other deadlocked");
+    assert!(ok, "each ULP returns its own pid");
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
+#[test]
 fn pooled_ulps_own_their_kernel_identity() {
     // Many pooled ULPs share one pool KC, but each carries its own pid:
     // a coupled system call must observe the ULP's own process, even when
     // the serve arrived via the decouple direct-handoff path (which must
-    // rebind the kernel identity when the pids differ).
+    // rebind the kernel identity when the pids differ). Odd bodies decouple
+    // first, so their getpid is a real couple answered by the pool loop or
+    // by a neighbour's handoff, and their decouple hands the KC straight to
+    // the next waiter; even bodies stay coupled from birth.
     let rt = Runtime::builder()
         .schedulers(1)
         .pool_kcs(1)
@@ -781,6 +915,9 @@ fn pooled_ulps_own_their_kernel_identity() {
     let handles: Vec<_> = (0..32)
         .map(|i| {
             rt.spawn_pooled(&format!("ident-{i}"), move || {
+                if i % 2 == 1 {
+                    decouple().unwrap();
+                }
                 let observed = coupled_scope(|| sys::getpid().unwrap()).unwrap();
                 observed.0 as i32
             })

@@ -166,10 +166,9 @@ pub fn run_cell(cell: Cell, seed: u64) -> RunReport {
         .trace_capacity(cell.scenario.trace_capacity())
         .consistency(ConsistencyMode::Record)
         .build();
-    // PID allocation must not race scheduler startup: fault streams are
-    // keyed by pid, so replay needs the schedulers' processes registered
-    // before the first workload spawn.
-    wait_for_schedulers(&rt, cell.scenario.schedulers());
+    // Fault streams are keyed by pid, so replay needs the schedulers'
+    // processes created before the first workload spawn: `build` creates
+    // them on this thread, in index order, before it returns.
 
     rt.trace_enable();
     let stats0 = rt.stats().snapshot();
@@ -222,16 +221,4 @@ pub fn run_cell(cell: Cell, seed: u64) -> RunReport {
 /// Derive iteration `i`'s run seed from the master seed.
 pub fn run_seed(master: u64, i: u64) -> u64 {
     splitmix64(master ^ splitmix64(i))
-}
-
-fn wait_for_schedulers(rt: &Runtime, n: usize) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    // Root process + one process per scheduler.
-    while rt.kernel().process_count() < 1 + n {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "schedulers failed to start within 10s"
-        );
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
 }

@@ -101,7 +101,8 @@ struct BltTrack {
     /// Dense index by spawn order (for messages).
     state: CoupleState,
     /// Inferred from the first post-spawn scheduling event: a sibling is
-    /// born decoupled (its birth *is* a run-queue push), a primary coupled.
+    /// born decoupled (its birth *is* a run-queue push), a primary or a
+    /// pooled ULP coupled.
     born_decoupled: bool,
     decouples: u64,
     requests: u64,

@@ -869,11 +869,13 @@ fn c1m_count() -> usize {
 }
 
 /// Oversubscription storm: `c1m_count()` pooled ULPs churned through two
-/// pool KCs in bounded waves. Each ULP couples once to check it observes
-/// *its own* simulated pid (the pool serves many pids from one OS thread,
-/// so a stale kernel binding shows up here), returns that pid as its exit
-/// status, and terminates on the pool KC via the deferred stack-release
-/// path. After every wave has been reaped the stack free-list must have
+/// pool KCs in bounded waves. Each ULP checks with a coupled `getpid` that
+/// it observes *its own* simulated pid (the pool serves many pids from one
+/// OS thread, so a stale kernel binding shows up here), returns that pid
+/// as its exit status, and terminates on the pool KC via the deferred
+/// stack-release path. Pooled ULPs are born coupled; odd-indexed ones
+/// decouple first, so their `getpid` is a real couple that the pool KC (or
+/// a decoupling neighbour's direct handoff, with its pid rebind) serves. After every wave has been reaped the stack free-list must have
 /// fully drained, never have held more stacks than one wave outstanding,
 /// and — once the first wave has died — be serving recycled stacks.
 fn c1m_storm(rt: &Runtime, fails: &Fails) {
@@ -887,6 +889,12 @@ fn c1m_storm(rt: &Runtime, fails: &Fails) {
             let f = fails.clone();
             let idx = spawned + k;
             match rt.spawn_pooled(&format!("c1m-{idx}"), move || {
+                if idx % 2 == 1 {
+                    if let Err(e) = decouple() {
+                        f.push(format!("c1m-{idx}: decouple -> {e}"));
+                        return -1;
+                    }
+                }
                 match coupled_scope(sys::getpid) {
                     Ok(Ok(pid)) => pid.0 as i32,
                     other => {
